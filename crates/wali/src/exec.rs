@@ -327,9 +327,6 @@ fn drain_wakeups(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize) {
                 sched.deadlines.cancel(d, tid);
             }
             runner.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-            if let Some(slot) = sched.slots.get_mut(&tid) {
-                slot.woken_retry = true;
-            }
             pool.enqueue(&mut sched, Some(widx), tid);
         } else if sched.queued.contains(&tid) {
             // Already runnable: it will observe the new state itself.
@@ -510,7 +507,6 @@ fn give_back_runnable(pool: &SmpPool, widx: usize, slot: Slot) {
 /// step; divergences are commented.
 fn run_slice(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize, mut slot: Slot) {
     let tid = slot.tid;
-    slot.woken_retry = false;
     let Some(pending) = slot.pending.take() else {
         finish_task(pool, slot, None);
         return;
@@ -642,11 +638,12 @@ fn handle_suspend(
                 }
                 k.task_waits(tid)
             };
-            // Divergence from the single loop: a blocked call outside the
-            // kernel's waitqueue protocol (no channel, no deadline) parks
-            // on a short backoff deadline instead of busy-polling the
-            // queue — SMP queues hold only runnable work, which is what
-            // makes the quiescence test in `idle` exact.
+            // Divergence from the single loop: both park every blocked
+            // call, so their queues hold only runnable work, but a call
+            // outside the kernel's waitqueue protocol (no channel, no
+            // deadline) parks here on a short backoff deadline, where the
+            // single loop parks it with no deadline and reports it as a
+            // deadlock once nothing else can run.
             let deadline = match deadline {
                 Some(d) => Some(d),
                 None if waits => None,
@@ -657,7 +654,6 @@ fn handle_suspend(
             sched.in_flight -= 1;
             if sched.pending_wakes.remove(&tid) {
                 // The wakeup raced our park: requeue instead.
-                slot.woken_retry = true;
                 sched.slots.insert(tid, slot);
                 pool.enqueue(&mut sched, Some(widx), tid);
             } else {
@@ -680,7 +676,6 @@ fn handle_suspend(
                 thread: slot.thread.clone(),
                 ctx: slot.ctx.fork_child(child_tid),
                 pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                woken_retry: false,
             };
             slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
             let mut sched = pool.sched.lock_ok();
@@ -719,7 +714,6 @@ fn handle_suspend(
                 thread: slot.thread.clone(),
                 ctx,
                 pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                woken_retry: false,
             };
             slot.pending = Some(Pending::Resume(vec![Value::I64(child_tid as i64)]));
             let mut sched = pool.sched.lock_ok();

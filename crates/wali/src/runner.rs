@@ -13,13 +13,11 @@
 //! * `execve` — swap in a program registered under the target path;
 //! * blocking syscalls — the task parks on the kernel waitqueues
 //!   ([`vkernel::wait`]) and re-enters the run queue only when its wait
-//!   channel fires or its deadline lapses; the scheduler advances the
-//!   virtual clock straight to the earliest deadline when every task is
-//!   parked.
-//!
-//! Set `WALI_NO_WAITQ=1` (or [`WaliRunner::set_event_driven`]`(false)`)
-//! to fall back to the original poll-everything loop — kept as the A/B
-//! baseline for the scheduler benchmarks.
+//!   channel fires or its deadline lapses. Every blocked call parks, so
+//!   the run queue holds only runnable work: when it is empty the
+//!   scheduler advances the virtual clock straight to the earliest
+//!   deadline, and a blocked call with neither a channel nor a deadline
+//!   surfaces as a [`RunnerError::Deadlock`] instead of being busy-polled.
 //!
 //! Set `WALI_WORKERS=N` (or [`WaliRunner::set_workers`]) to interpret
 //! runnable tasks on `N` host worker threads (`0`/`auto` selects
@@ -62,9 +60,9 @@ pub struct SchedStats {
     pub wakeups: u64,
     /// Idle steps: the clock jumped to the earliest deadline.
     pub idle_advances: u64,
-    /// Blocked-syscall retry attempts that blocked again (busy-poll work;
-    /// stays O(wakeups) in event-driven mode, O(blocked × passes) in the
-    /// `WALI_NO_WAITQ` baseline).
+    /// Blocked-syscall retry attempts that blocked again without running
+    /// any wasm: spurious wakeups and lapsed deadlines whose call is still
+    /// not ready. Bounded by parks, since every retry follows a wake.
     pub blocked_retries: u64,
 }
 
@@ -154,9 +152,9 @@ impl RunOutcome {
 /// count or toggle settings: the main task's ending, the *multiset* of
 /// console lines, and the *multiset* of task endings. Interleaving-
 /// dependent data (completion order, sched counters, syscall totals —
-/// polling retries re-invoke handlers) is deliberately excluded; the
-/// bit-determinism oracle compares those separately on `WALI_WORKERS=1`
-/// pairs, where they must match exactly.
+/// a retry after a spurious wake re-invokes its handler) is deliberately
+/// excluded; the bit-determinism oracle compares those separately on
+/// `WALI_WORKERS=1` pairs, where they must match exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Observables {
     /// The main task's ending (`Debug`-rendered), if it ended.
@@ -218,10 +216,9 @@ pub(crate) const FUEL_SLICE: u64 = 1 << 20;
 
 /// Virtual nanoseconds one exhausted fuel slice accounts for (a ~1 GIPS
 /// virtual CPU: 2^20 ops ≈ 1 ms). Without this, a pure-compute spin loop
-/// would stall virtual time — the old polling loop advanced the clock as
-/// a side effect of its blocked-syscall retries, the event-driven
-/// scheduler advances it here and at idle steps instead, so parked
-/// deadlines lapse while a spinner runs.
+/// would stall virtual time: parked tasks issue no syscalls, so their
+/// ticks cannot advance the clock. The scheduler advances it here and at
+/// idle steps instead, so parked deadlines lapse while a spinner runs.
 pub(crate) const SLICE_QUANTUM_NS: u64 = 1_000_000;
 
 pub(crate) struct Slot {
@@ -230,19 +227,6 @@ pub(crate) struct Slot {
     pub(crate) thread: Thread,
     pub(crate) ctx: WaliContext,
     pub(crate) pending: Option<Pending>,
-    /// A kernel wakeup re-queued this task's blocked retry and it has not
-    /// been attempted since. The idle detector must treat such a retry as
-    /// runnable: the wakeup is fresh evidence its syscall can complete,
-    /// and `since_progress` may otherwise reach the queue length without
-    /// the task ever getting its attempt (tasks parking mid-pass shrink
-    /// the queue under the counter).
-    pub(crate) woken_retry: bool,
-}
-
-/// Whether the event-driven scheduler is on by default (the
-/// `WALI_NO_WAITQ` escape hatch selects the polling baseline).
-pub fn event_driven_default() -> bool {
-    std::env::var_os("WALI_NO_WAITQ").is_none()
 }
 
 /// Whether the sharded syscall fast path is on by default (the
@@ -299,9 +283,6 @@ pub struct WaliRunner {
     /// [`wasm::regir::regir_default`] (`WALI_NO_REGIR=1` selects the
     /// fused stack tier).
     regir: Option<bool>,
-    /// Waitqueue scheduling override; `None` follows
-    /// [`event_driven_default`].
-    event_driven: Option<bool>,
     /// Paged copy-on-write memory override; `None` follows
     /// [`wasm::mem::cow_default`] (`WALI_NO_COW=1` selects the flat
     /// eager-zero / deep-copy-fork baseline).
@@ -335,9 +316,6 @@ pub struct WaliRunner {
     /// by child tid. These tasks sit on neither the run queue nor the
     /// parked map; the child's exec/exit requeues them.
     pub(crate) vfork_waiters: HashMap<Tid, Tid>,
-    /// Consecutive run-queue attempts without wasm progress (the polling
-    /// baseline's full-pass detector).
-    since_progress: usize,
     spawned_any: bool,
     pub(crate) main_tid: Option<Tid>,
     pub(crate) outcome: RunOutcome,
@@ -363,7 +341,6 @@ impl WaliRunner {
             scheme,
             fuse: None,
             regir: None,
-            event_driven: None,
             cow: None,
             shard: None,
             ring: None,
@@ -374,7 +351,6 @@ impl WaliRunner {
             parked: BTreeMap::new(),
             deadlines: crate::timer::TimerWheel::default(),
             vfork_waiters: HashMap::new(),
-            since_progress: 0,
             spawned_any: false,
             main_tid: None,
             outcome: RunOutcome::default(),
@@ -415,17 +391,6 @@ impl WaliRunner {
     /// stack tier.
     pub fn set_regir(&mut self, on: bool) {
         self.regir = Some(on);
-    }
-
-    /// Overrides waitqueue scheduling (A/B measurement; default follows
-    /// [`event_driven_default`]). `false` selects the original
-    /// poll-every-blocked-task loop.
-    pub fn set_event_driven(&mut self, on: bool) {
-        self.event_driven = Some(on);
-    }
-
-    pub(crate) fn event_driven_on(&self) -> bool {
-        self.event_driven.unwrap_or_else(event_driven_default)
     }
 
     /// Overrides the paged copy-on-write memory backing (A/B measurement;
@@ -570,7 +535,6 @@ impl WaliRunner {
                 func: entry,
                 args: Vec::new(),
             }),
-            woken_retry: false,
         });
         Ok(tid)
     }
@@ -600,12 +564,12 @@ impl WaliRunner {
     /// Runs until every task finishes.
     ///
     /// The scheduler loop: drain kernel wakeups into the run queue, run
-    /// the queue round-robin, and when nothing is runnable (or, in the
-    /// polling baseline, a full pass made no progress) take an idle step —
+    /// the queue round-robin, and when it is empty take an idle step —
     /// jump the virtual clock to the earliest deadline, fire timers, and
-    /// unpark whatever that woke. Wakeup cost is independent of the number
-    /// of parked tasks: a transition posts to exactly the tasks subscribed
-    /// to its channel.
+    /// unpark whatever that woke. Every blocked call parks, so an empty
+    /// queue is exactly "nothing runnable". Wakeup cost is independent of
+    /// the number of parked tasks: a transition posts to exactly the tasks
+    /// subscribed to its channel.
     pub fn run(&mut self) -> Result<RunOutcome, RunnerError> {
         let workers = self.workers();
         if workers > 1 {
@@ -629,34 +593,11 @@ impl WaliRunner {
                     self.wake_lapsed(now);
                 }
             }
-            let idle = match self.run_queue.front() {
-                None => true,
-                // Polling baseline: every queued task attempted once since
-                // the last progress → the old "nothing progressed" pass.
-                // Never idle while a deterministically-runnable task
-                // (Start/Resume pending — it will execute wasm) is queued:
-                // `since_progress` over-counts when attempted tasks park
-                // and shrink the queue under it.
-                Some(_) => {
-                    self.since_progress > 0
-                        && self.since_progress >= self.run_queue.len()
-                        && !self.queue_has_runnable()
-                }
-            };
-            if idle {
+            let Some(tid) = self.run_queue.pop_front() else {
                 self.idle_advance()?;
-                self.since_progress = 0;
                 continue;
-            }
-            let tid = self.run_queue.pop_front().expect("checked non-empty");
-            if !self.tasks.contains_key(&tid) {
-                continue;
-            }
-            if self.attempt(tid)? {
-                self.since_progress = 0;
-            } else {
-                self.since_progress += 1;
-            }
+            };
+            self.attempt(tid)?;
         }
         self.finish_outcome()
     }
@@ -704,52 +645,21 @@ impl WaliRunner {
         for tid in woken {
             if self.unpark(tid) {
                 self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
-                if let Some(slot) = self.tasks.get_mut(&tid) {
-                    slot.woken_retry = true;
-                }
                 self.run_queue.push_back(tid);
-                // A wakeup is fresh evidence of possible progress: the
-                // idle detector must give the woken task its attempt
-                // before declaring the queue stuck.
-                self.since_progress = 0;
             }
             // Wakeups for queued/running tasks are redundant: they will
             // observe the new state on their own next attempt.
         }
     }
 
-    /// True when any queued task is deterministically runnable (its next
-    /// step executes wasm rather than retrying a blocked syscall).
-    fn queue_has_runnable(&self) -> bool {
-        self.run_queue.iter().any(|tid| {
-            self.tasks
-                .get(tid)
-                .map(|s| s.woken_retry || !matches!(s.pending, Some(Pending::Retry { .. })))
-                .unwrap_or(false)
-        })
-    }
-
     /// Nothing is runnable: advance the virtual clock to the earliest
-    /// wake-up source (parked deadlines, queued retry deadlines, kernel
-    /// timers), fire timers, and unpark deadline-lapsed tasks; error out
-    /// when no wake-up source exists.
+    /// wake-up source (parked deadlines, kernel timers), fire timers, and
+    /// unpark deadline-lapsed tasks; error out when no wake-up source
+    /// exists.
     fn idle_advance(&mut self) -> Result<(), RunnerError> {
         let parked_min = self.deadlines.next_deadline();
-        let queued_min = self
-            .run_queue
-            .iter()
-            .filter_map(|tid| self.tasks.get(tid))
-            .filter_map(|s| match &s.pending {
-                Some(Pending::Retry { deadline, .. }) => *deadline,
-                _ => None,
-            })
-            .min();
         let timer_min = self.kernel.lock_ok().next_timer_deadline();
-        let Some(deadline) = [parked_min, queued_min, timer_min]
-            .into_iter()
-            .flatten()
-            .min()
-        else {
+        let Some(deadline) = [parked_min, timer_min].into_iter().flatten().min() else {
             return Err(RunnerError::Deadlock(self.blocked_report()));
         };
         let now = {
@@ -765,14 +675,8 @@ impl WaliRunner {
     }
 
     /// Accounts one exhausted fuel slice of virtual CPU time and fires
-    /// whatever that made due (timers, parked deadlines). Event-driven
-    /// mode only: the `WALI_NO_WAITQ` baseline must reproduce the old
-    /// loop exactly, which never advanced the clock on preemption (its
-    /// blocked-retry syscall ticks covered that).
+    /// whatever that made due (timers, parked deadlines).
     fn tick_slice(&mut self) {
-        if !self.event_driven_on() {
-            return;
-        }
         let now = {
             let mut k = self.kernel.lock_ok();
             k.clock.advance(SLICE_QUANTUM_NS);
@@ -791,7 +695,6 @@ impl WaliRunner {
             self.parked.remove(&tid);
             self.kernel.lock_ok().wait_cancel(tid);
             self.run_queue.push_back(tid);
-            self.since_progress = 0;
         }
     }
 
@@ -805,9 +708,8 @@ impl WaliRunner {
         };
         self.parked
             .keys()
-            .chain(self.run_queue.iter())
             .filter_map(|tid| self.tasks.get(tid).map(|s| (*tid, name_of(s))))
-            // vfork parents sit in neither collection; a stuck child must
+            // vfork parents are not parked; a stuck child must
             // not hide its suspended parent from the diagnostic.
             .chain(
                 self.vfork_waiters
@@ -830,15 +732,11 @@ impl WaliRunner {
         runner.run()
     }
 
-    /// Runs one scheduling slice of `tid`. Returns whether the attempt
-    /// made progress (ran wasm, completed, or changed task structure) —
-    /// an immediately re-blocked retry did not.
-    fn attempt(&mut self, tid: Tid) -> Result<bool, RunnerError> {
-        let Some(pending) = self.tasks.get_mut(&tid).and_then(|s| {
-            s.woken_retry = false;
-            s.pending.take()
-        }) else {
-            return Ok(false);
+    /// Runs one scheduling slice of `tid` and applies the resulting
+    /// scheduling decision.
+    fn attempt(&mut self, tid: Tid) -> Result<(), RunnerError> {
+        let Some(pending) = self.tasks.get_mut(&tid).and_then(|s| s.pending.take()) else {
+            return Ok(());
         };
 
         // A task whose kernel identity died (killed by a sibling) is
@@ -852,7 +750,7 @@ impl WaliRunner {
             .unwrap_or(true);
         if hinted && self.task_killed(tid) {
             self.finish_task(tid, None);
-            return Ok(true);
+            return Ok(());
         }
         let result = {
             let slot = self.tasks.get_mut(&tid).expect("live task");
@@ -921,16 +819,16 @@ impl WaliRunner {
                     let _ = self.kernel.lock_ok().sys_exit_group(tid, code);
                 }
                 self.finish_task(tid, Some(TaskEnd::Exited(already.unwrap_or(code))));
-                Ok(true)
+                Ok(())
             }
             RunResult::Trapped(Trap::Aborted) => {
                 self.finish_task(tid, None);
-                Ok(true)
+                Ok(())
             }
             RunResult::Trapped(t) => {
                 let _ = self.kernel.lock_ok().sys_exit_group(tid, 128);
                 self.finish_task(tid, Some(TaskEnd::Trapped(t)));
-                Ok(true)
+                Ok(())
             }
             RunResult::Suspended(s) => match s.downcast::<WaliSuspend>() {
                 Ok(payload) => self.handle_suspend(tid, *payload, ran_wasm),
@@ -940,7 +838,7 @@ impl WaliRunner {
                         // the slice's virtual CPU time.
                         self.requeue(tid, Pending::Resume(Vec::new()));
                         self.tick_slice();
-                        Ok(true)
+                        Ok(())
                     } else {
                         Err(RunnerError::NoEntry("unknown suspension payload"))
                     }
@@ -962,11 +860,11 @@ impl WaliRunner {
         tid: Tid,
         payload: WaliSuspend,
         ran_wasm: bool,
-    ) -> Result<bool, RunnerError> {
+    ) -> Result<(), RunnerError> {
         match payload {
             WaliSuspend::Exit { code } => {
                 self.finish_task(tid, Some(TaskEnd::Exited(code)));
-                Ok(true)
+                Ok(())
             }
             WaliSuspend::Blocked {
                 module,
@@ -975,11 +873,9 @@ impl WaliRunner {
                 args,
                 deadline,
             } => {
-                // Re-blocking counts as progress only if the task actually
-                // executed wasm since its last block (a completed retry
-                // that blocked again made real progress; an immediately
-                // re-blocked retry did not — the idle path advances the
-                // clock in that case).
+                // A retry that re-blocked without running any wasm was a
+                // wasted attempt (a spurious wake or a lapsed deadline
+                // whose call is still not ready).
                 if !ran_wasm {
                     self.stats.blocked_retries.fetch_add(1, Ordering::Relaxed);
                 }
@@ -997,18 +893,12 @@ impl WaliRunner {
                         }
                     });
                 }
-                // Event-driven: park on the kernel waitqueues / deadline.
-                // A blocked call that neither subscribed a channel nor set
-                // a deadline (a layered API outside the kernel protocol)
-                // stays on the run queue and is busy-polled like before.
-                let parkable = self.event_driven_on()
-                    && (deadline.is_some() || self.kernel.lock_ok().task_waits(tid));
-                if parkable {
-                    self.park(tid, deadline);
-                } else {
-                    self.run_queue.push_back(tid);
-                }
-                Ok(ran_wasm)
+                // Park on the kernel waitqueues / deadline. A blocked call
+                // that neither subscribed a channel nor set a deadline has
+                // no wake source: it parks anyway, and once nothing else
+                // can run the idle step names it in the deadlock report.
+                self.park(tid, deadline);
+                Ok(())
             }
             WaliSuspend::Fork { child_tid, vfork } => {
                 // `vfork` on the COW backing shares the parent's pages
@@ -1029,7 +919,6 @@ impl WaliRunner {
                         thread: slot.thread.clone(),
                         ctx: slot.ctx.fork_child(child_tid),
                         pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                        woken_retry: false,
                     }
                 };
                 self.admit(child);
@@ -1043,7 +932,7 @@ impl WaliRunner {
                 } else {
                     self.requeue(tid, Pending::Resume(vec![Value::I64(child_tid as i64)]));
                 }
-                Ok(true)
+                Ok(())
             }
             WaliSuspend::Clone {
                 child_tid,
@@ -1068,12 +957,11 @@ impl WaliRunner {
                         thread: slot.thread.clone(),
                         ctx,
                         pending: Some(Pending::Resume(vec![Value::I64(0)])),
-                        woken_retry: false,
                     }
                 };
                 self.admit(child);
                 self.requeue(tid, Pending::Resume(vec![Value::I64(child_tid as i64)]));
-                Ok(true)
+                Ok(())
             }
             WaliSuspend::Exec { path, argv, envp } => {
                 let Some(program) = self.programs.get(&path).cloned() else {
@@ -1081,7 +969,7 @@ impl WaliRunner {
                         tid,
                         Pending::Resume(vec![Value::I64(Errno::Enoent.as_ret())]),
                     );
-                    return Ok(true);
+                    return Ok(());
                 };
                 {
                     let mut k = self.kernel.lock_ok();
@@ -1122,7 +1010,7 @@ impl WaliRunner {
                 self.run_queue.push_back(tid);
                 // execve releases a vfork parent waiting on this child.
                 self.release_vfork_parent(tid);
-                Ok(true)
+                Ok(())
             }
         }
     }
@@ -1138,7 +1026,6 @@ impl WaliRunner {
         if let Some(parent) = self.vfork_waiters.remove(&child) {
             if self.tasks.contains_key(&parent) {
                 self.run_queue.push_back(parent);
-                self.since_progress = 0;
             }
         }
     }

@@ -43,8 +43,6 @@ pub struct RunnerOpts {
     pub fuse: Option<bool>,
     /// Tier-2 register IR (`WALI_NO_REGIR` off-switch).
     pub regir: Option<bool>,
-    /// Event-driven waitqueue scheduling (`WALI_NO_WAITQ` off-switch).
-    pub event_driven: Option<bool>,
     /// Paged copy-on-write memory (`WALI_NO_COW` off-switch).
     pub cow: Option<bool>,
     /// Sharded syscall fast path (`WALI_NO_SHARD` off-switch).
@@ -76,9 +74,6 @@ impl RunnerOpts {
         }
         if let Some(on) = self.regir {
             runner.set_regir(on);
-        }
-        if let Some(on) = self.event_driven {
-            runner.set_event_driven(on);
         }
         if let Some(on) = self.cow {
             runner.set_cow(on);

@@ -9,8 +9,7 @@
 //! * **no busy-retry storms** — a blocked task is retried only when its
 //!   channel fires or its deadline lapses, so the number of
 //!   retried-and-reblocked attempts stays bounded by the task count
-//!   instead of growing with scheduler passes (the polling baseline is
-//!   measured for contrast);
+//!   instead of growing with scheduler passes;
 //!
 //! and runs the same program under both superinstruction-fusion settings.
 
@@ -180,9 +179,8 @@ fn stress_program() -> Module {
             .call(futex)
             .drop_();
         // Wait for all wake-ups to be observed (sleep-poll rather than a
-        // wasm spin: a spin would advance virtual time only ~3 µs per
-        // scheduler pass in the polling baseline and make the A/B run
-        // crawl), then report.
+        // wasm spin: a spin advances virtual time only one quantum per
+        // exhausted fuel slice), then report.
         b.loop_(BlockType::Empty, |b| {
             b.i32(counter).load32(0).i32(TASKS as i32).lt_s32();
             b.if_(BlockType::Empty, |b| {
@@ -196,28 +194,22 @@ fn stress_program() -> Module {
     mb.build()
 }
 
-fn run_stress(fuse: bool, event_driven: bool) -> wali::RunOutcome {
+fn run_stress(fuse: bool) -> wali::RunOutcome {
     // This suite pins the *deterministic scheduler's* counter contract
-    // (parks/wakeups/retries of the cooperative loop, and the polling
-    // baseline A/B); the SMP executor has its own contract, covered by
-    // tests/smp_stress.rs at WALI_WORKERS=4.
+    // (parks/wakeups/retries of the cooperative loop); the SMP executor
+    // has its own contract, covered by tests/smp_stress.rs at
+    // WALI_WORKERS=4.
     let opts = RunnerOpts {
-        workers: Some(1),
         fuse: Some(fuse),
-        event_driven: Some(event_driven),
-        cow: None,
-        shard: None,
-        regir: None,
-        ready: None,
-        ring: None,
+        ..RunnerOpts::single()
     };
     run_module(&stress_program(), &[], &[], opts)
         .expect("run")
         .outcome
 }
 
-fn assert_event_driven_contract(fuse: bool) {
-    let out = run_stress(fuse, true);
+fn assert_waitqueue_contract(fuse: bool) {
+    let out = run_stress(fuse);
     // Every task was woken by its event: the counter reached TASKS.
     assert_eq!(
         out.exit_code(),
@@ -251,29 +243,12 @@ fn assert_event_driven_contract(fuse: bool) {
 
 #[test]
 fn stress_wakes_every_task_fused() {
-    assert_event_driven_contract(true);
+    assert_waitqueue_contract(true);
 }
 
 #[test]
 fn stress_wakes_every_task_unfused() {
-    assert_event_driven_contract(false);
-}
-
-#[test]
-fn polling_baseline_confirms_the_storm() {
-    // Same program on the WALI_NO_WAITQ-style baseline: identical result,
-    // but the blocked-retry count explodes — the O(blocked × passes)
-    // behaviour the waitqueues remove. This is the A/B the benches measure.
-    let event = run_stress(true, true);
-    let poll = run_stress(true, false);
-    assert_eq!(poll.exit_code(), Some(0));
-    assert_eq!(event.exit_code(), Some(0));
-    assert!(
-        poll.sched.blocked_retries > 10 * event.sched.blocked_retries.max(1),
-        "expected a polling retry storm: poll={:?} event={:?}",
-        poll.sched,
-        event.sched
-    );
+    assert_waitqueue_contract(false);
 }
 
 #[test]
@@ -367,12 +342,7 @@ fn deadline_wakes_promptly_while_queue_stays_busy() {
     // round-robin schedule; under SMP the ping-pong races ahead of the
     // sleeper's requeue in wall-clock time and the round count is
     // meaningless. Deterministic scheduler only.
-    let opts = RunnerOpts {
-        workers: Some(1),
-        event_driven: Some(true),
-        ..Default::default()
-    };
-    let out = run_module(&mb.build(), &[], &[], opts)
+    let out = run_module(&mb.build(), &[], &[], RunnerOpts::single())
         .expect("run")
         .outcome;
     assert_eq!(
@@ -386,6 +356,94 @@ fn deadline_wakes_promptly_while_queue_stays_busy() {
 #[test]
 fn sched_stats_expose_idle_clock_steps() {
     // The timer sleepers force at least one earliest-deadline clock jump.
-    let out = run_stress(true, true);
+    let out = run_stress(true);
     assert!(out.sched.idle_advances >= 1, "{:?}", out.sched);
+}
+
+#[test]
+fn queued_lapsed_sleeper_takes_no_idle_step() {
+    // Regression: the idle step is taken exactly when the run queue is
+    // empty. Here a sleeper's deadline lapses through syscall ticks (not
+    // at an idle step) in the same round a spuriously woken reader is
+    // requeued, so the queue holds [reader, sleeper]. The reader's retry
+    // re-blocks without running wasm; the sleeper is still queued and
+    // runnable, so no idle step may be taken for it. The only idle step
+    // this run needs is main's final 1 ms sleep, when every other task
+    // is gone.
+    let mut mb = ModuleBuilder::new();
+    let pipe = sys(&mut mb, "pipe", 1);
+    let read = sys(&mut mb, "read", 3);
+    let write = sys(&mut mb, "write", 3);
+    let clone = sys(&mut mb, "clone", 5);
+    let nanosleep = sys(&mut mb, "nanosleep", 2);
+    let getpid = sys(&mut mb, "getpid", 0);
+    let exit = sys(&mut mb, "exit", 1);
+    mb.memory(4, Some(16));
+    let fds_p = mb.reserve(8);
+    let fds_q = mb.reserve(8);
+    let ts = mb.reserve(16);
+    let buf = mb.reserve(8);
+    let io = |b: &mut wasm::build::FuncBuilder, f, fds: u32, end: u32| {
+        b.i32(fds as i32)
+            .load32(end)
+            .extend_u()
+            .i64(buf as i64)
+            .i64(1)
+            .call(f)
+            .drop_();
+    };
+
+    let sig = mb.sig([], [I32]);
+    let main = mb.func(sig, |b| {
+        let i = b.local(I32);
+        b.i64(fds_p as i64).call(pipe).drop_();
+        b.i64(fds_q as i64).call(pipe).drop_();
+        // Reader: parks on the empty pipe P.
+        spawn_thread(b, clone, |b| {
+            io(b, read, fds_p, 0);
+            b.i64(0).call(exit).drop_();
+        });
+        // Sleeper: a 1 µs deadline, then feeds the reader and main.
+        spawn_thread(b, clone, |b| {
+            emit_sleep(b, nanosleep, ts, 0, 1_000);
+            io(b, write, fds_p, 4);
+            io(b, write, fds_q, 4);
+            b.i64(0).call(exit).drop_();
+        });
+        // Main: wake the reader, take the byte back so its retry
+        // re-blocks, and tick the clock past the sleeper's deadline with
+        // 16 non-blocking syscalls, all in one slice.
+        io(b, write, fds_p, 4);
+        io(b, read, fds_p, 0);
+        b.loop_(BlockType::Empty, |b| {
+            b.call(getpid).drop_();
+            b.local_get(i)
+                .i32(1)
+                .add32()
+                .local_tee(i)
+                .i32(16)
+                .lt_s32()
+                .br_if(0);
+        });
+        // Park until the sleeper has run, then sleep alone.
+        io(b, read, fds_q, 0);
+        emit_sleep(b, nanosleep, ts, 0, 1_000_000);
+        b.i32(0);
+    });
+    mb.export("_start", main);
+
+    let out = run_module(&mb.build(), &[], &[], RunnerOpts::single())
+        .expect("run")
+        .outcome;
+    assert_eq!(out.exit_code(), Some(0), "{:?}", out.main_exit);
+    assert_eq!(
+        out.sched.blocked_retries, 1,
+        "reader re-blocked once: {:?}",
+        out.sched
+    );
+    assert_eq!(
+        out.sched.idle_advances, 1,
+        "one idle step needed: {:?}",
+        out.sched
+    );
 }

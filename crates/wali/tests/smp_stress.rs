@@ -235,19 +235,10 @@ fn smp_mix_program() -> Module {
 }
 
 fn run_mix(workers: usize, fuse: bool) -> wali::RunOutcome {
-    run_mix_with(workers, fuse, None)
-}
-
-fn run_mix_with(workers: usize, fuse: bool, event_driven: Option<bool>) -> wali::RunOutcome {
     let opts = RunnerOpts {
         workers: Some(workers),
         fuse: Some(fuse),
-        event_driven,
-        cow: None,
-        shard: None,
-        regir: None,
-        ready: None,
-        ring: None,
+        ..RunnerOpts::default()
     };
     run_module(&smp_mix_program(), &[], &[], opts)
         .expect("run")
@@ -317,11 +308,8 @@ fn single_worker_runs_are_bit_identical() {
 fn single_worker_counters_match_deterministic_scheduler() {
     // Spot-pin the deterministic schedule: with one worker the whole
     // mix parks each blocked task at least once and wakes exactly the
-    // parked set (no spurious SMP requeues exist in this mode). The
-    // park/wakeup counters are an event-driven contract, so that mode
-    // is pinned explicitly (the WALI_NO_WAITQ CI gate runs this suite
-    // with the polling baseline as the ambient default).
-    let out = run_mix_with(1, true, Some(true));
+    // parked set (no spurious SMP requeues exist in this mode).
+    let out = run_mix(1, true);
     assert_mix_contract(&out);
     assert!(
         out.sched.parks >= THREADS as u64,

@@ -27,7 +27,7 @@
 //! Backing selection: shared (threaded) memories always use the flat
 //! backing; private memories follow [`cow_default`] — paged unless
 //! `WALI_NO_COW=1` selects the flat deep-copy baseline (A/B measurement,
-//! like `WALI_NO_FUSE` / `WALI_NO_WAITQ`).
+//! like `WALI_NO_FUSE` / `WALI_NO_SHARD`).
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicI64, AtomicPtr, AtomicU32, AtomicU64, Ordering};
