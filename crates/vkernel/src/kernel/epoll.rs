@@ -53,6 +53,7 @@ use wali_abi::flags::{
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
+use crate::lockorder::Tracked;
 use crate::sync::MutexExt;
 use crate::wait::Channel;
 use crate::{SysResult, Tid};
@@ -188,6 +189,37 @@ impl Epoll {
     }
 }
 
+/// One entry the ready-ring pop drained, verified outside the epoll
+/// lock: a copy of the registration's scalar state (the description is
+/// a `Weak` handle, its clone a reference-count bump).
+#[derive(Debug)]
+pub(crate) struct PopCand {
+    key: u64,
+    file: Weak<Mutex<OpenFile>>,
+    events: u32,
+    data: u64,
+    prev_ready: u32,
+    prev_gen: u64,
+    outcome: PopOutcome,
+}
+
+/// What verification decided for a [`PopCand`].
+#[derive(Clone, Copy, Debug)]
+enum PopOutcome {
+    /// Past the caller's budget: back onto the ring as it was.
+    Unverified,
+    /// The description is fully closed: sweep the registration.
+    Dead,
+    /// Probed: the edge state to store, and whether to disarm
+    /// (`EPOLLONESHOT`) and re-queue (level-triggered and still ready).
+    Verified {
+        ready: u32,
+        gen: u64,
+        disarm: bool,
+        requeue: bool,
+    },
+}
+
 /// Converts an epoll interest mask to the `poll` events to probe.
 fn epoll_to_poll(events: u32) -> i16 {
     let mut ev = 0i16;
@@ -234,16 +266,18 @@ impl Kernel {
         id: usize,
         f: impl FnOnce(&mut Epoll) -> R,
     ) -> Result<R, Errno> {
-        let e = self.epolls.get(id).ok_or(Errno::Ebadf)?;
-        let mut g = e.lock_ok();
-        Ok(f(&mut g))
+        self.epolls.with(id, f).ok_or(Errno::Ebadf)
     }
 
-    fn epoll_of_fd(&self, tid: Tid, epfd: i32) -> Result<usize, Errno> {
+    /// Resolves `epfd` to its epoll instance id (`EBADF` for a closed
+    /// fd, `EINVAL` for a non-epoll one). A blocking `epoll_wait`
+    /// resolves once per attempt and passes the id to the pop, the
+    /// subscribe and the recheck.
+    pub fn epoll_of_fd(&self, tid: Tid, epfd: i32) -> Result<usize, Errno> {
         let task = self.task(tid)?;
         let table = task.fdtable.lock_ok();
-        let kind = table.get(epfd)?.file.lock_ok().kind.clone();
-        match kind {
+        let file = table.get(epfd)?.file.lock_ok();
+        match file.kind {
             FileKind::Epoll(id) => Ok(id),
             _ => Err(Errno::Einval),
         }
@@ -297,6 +331,8 @@ impl Kernel {
         for (ch, key) in chans {
             self.waits.hub_unregister(ch, id, key);
         }
+        self.waits
+            .forget(&[Channel::EpollCtl(id), Channel::EpollReady(id)]);
     }
 
     /// `epoll_create1(flags)`: allocates an instance and its fd.
@@ -555,103 +591,164 @@ impl Kernel {
     /// ring, re-verifies only the popped entries — O(ready) — and
     /// re-queues still-ready level-triggered entries plus anything past
     /// the caller's budget.
+    ///
+    /// The candidates and the channel list live in buffers the kernel
+    /// keeps between pops, and each candidate carries only the scalar
+    /// registration state it needs: an empty pop allocates nothing, and
+    /// a pop that finds its entries no longer ready allocates nothing
+    /// either. Only the reports themselves, a sweep and a rewire
+    /// allocate.
     fn epoll_ready_ring(&mut self, tid: Tid, id: usize, max: usize) -> SysResult<Vec<(u32, u64)>> {
         let max = max.max(1);
-        // Phase 1: drain the whole ring under the epoll lock. Keys are
-        // sorted so reports come out in registration order, exactly like
-        // the scan path (single-worker runs stay bit-deterministic).
-        // `queued` clears now: a transition racing the verification
-        // below re-pushes and is seen by the next pop.
-        let candidates: Vec<(u64, EpollReg)> = self.with_epoll(id, |ep| {
-            let mut keys: Vec<u64> = ep.ready.drain(..).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            let mut cands = Vec::new();
-            for k in keys {
-                if let Some(reg) = ep.interest.get_mut(&k) {
-                    reg.queued = false;
-                    if reg.armed {
-                        cands.push((k, reg.clone()));
-                    }
-                }
+        // One slab lookup per pop: every phase locks the same handle.
+        let ep = self.epolls.get(id).ok_or(Errno::Ebadf)?;
+        let mut cands = std::mem::take(&mut self.pop_scratch);
+        let mut chans = std::mem::take(&mut self.chan_scratch);
+        let r = self.pop_ring(tid, id, &ep, max, &mut cands, &mut chans);
+        cands.clear();
+        chans.clear();
+        self.pop_scratch = cands;
+        self.chan_scratch = chans;
+        r
+    }
+
+    fn pop_ring(
+        &mut self,
+        tid: Tid,
+        id: usize,
+        ep: &Tracked<Epoll>,
+        max: usize,
+        cands: &mut Vec<PopCand>,
+        chans: &mut Vec<Channel>,
+    ) -> SysResult<Vec<(u32, u64)>> {
+        // Phase 1: drain the whole ring under the epoll lock. `queued`
+        // clears now: a transition racing the verification below
+        // re-pushes and is seen by the next pop. A key is on the ring at
+        // most once while queued, so the flag also drops any stale
+        // duplicate. Candidates are sorted so reports come out in
+        // registration order, exactly like the scan path (single-worker
+        // runs stay bit-deterministic).
+        {
+            let mut ep = ep.lock_ok();
+            let ep = &mut *ep;
+            while let Some(k) = ep.ready.pop_front() {
                 // Unknown key: deleted after it was queued — dropped.
+                let Some(reg) = ep.interest.get_mut(&k) else {
+                    continue;
+                };
+                if !std::mem::take(&mut reg.queued) || !reg.armed {
+                    continue;
+                }
+                cands.push(PopCand {
+                    key: k,
+                    file: reg.file.clone(),
+                    events: reg.events,
+                    data: reg.data,
+                    prev_ready: reg.prev_ready,
+                    prev_gen: reg.prev_gen,
+                    outcome: PopOutcome::Unverified,
+                });
             }
-            cands
-        })?;
+        }
+        if cands.is_empty() {
+            return Ok(Vec::new());
+        }
+        cands.sort_unstable_by_key(|c| c.key);
         // Phase 2: verify with no epoll lock held (readiness probes and
         // channel walks take slab/object locks).
         let mut out = Vec::new();
-        let mut updates: Vec<(u64, u32, u64, bool)> = Vec::new();
-        let mut requeue: Vec<u64> = Vec::new();
         let mut rewire: Vec<(u64, Vec<Channel>, Vec<Channel>)> = Vec::new();
-        let mut swept: Vec<(u64, EpollReg)> = Vec::new();
-        for (i, (key, reg)) in candidates.iter().enumerate() {
+        for c in cands.iter_mut() {
             if out.len() >= max {
                 // Past the caller's budget: re-queue unverified, their
                 // transitions are still unconsumed.
-                requeue.extend(candidates[i..].iter().map(|(k, _)| *k));
                 break;
             }
-            let Some(file) = reg.file.upgrade() else {
-                swept.push((*key, reg.clone()));
+            let Some(file) = c.file.upgrade() else {
+                c.outcome = PopOutcome::Dead;
                 continue;
             };
             // Refresh the hub wiring first: a description's readiness
             // channels can change (a socket that connected gained its
             // peer's space channel), and registering *before* the probe
-            // closes the missed-transition window.
-            let mut chans = Vec::new();
-            self.desc_wait_channels(&file, epoll_to_poll(reg.events), &mut chans);
-            if chans != reg.hub_chans {
-                for &ch in &chans {
-                    if !reg.hub_chans.contains(&ch) {
-                        self.waits.hub_register(ch, id, *key);
+            // closes the missed-transition window. Wiring changes only
+            // under the kernel lock, which this pop holds, so comparing
+            // against the live registration is exact.
+            chans.clear();
+            self.desc_wait_channels(&file, epoll_to_poll(c.events), chans);
+            let stale = ep
+                .lock_ok()
+                .interest
+                .get(&c.key)
+                .filter(|reg| reg.hub_chans != *chans)
+                .map(|reg| reg.hub_chans.clone());
+            if let Some(old) = stale {
+                for &ch in chans.iter() {
+                    if !old.contains(&ch) {
+                        self.waits.hub_register(ch, id, c.key);
                     }
                 }
-                let removed: Vec<Channel> = reg
-                    .hub_chans
-                    .iter()
-                    .copied()
-                    .filter(|c| !chans.contains(c))
-                    .collect();
-                rewire.push((*key, chans, removed));
+                let removed = old.into_iter().filter(|ch| !chans.contains(ch)).collect();
+                rewire.push((c.key, chans.clone(), removed));
             }
-            let revents = self.poll_desc(tid, &file, epoll_to_poll(reg.events))?;
-            let ready = poll_to_epoll(revents, reg.events);
-            let et = reg.events & EPOLLET != 0;
+            let revents = self.poll_desc(tid, &file, epoll_to_poll(c.events))?;
+            let ready = poll_to_epoll(revents, c.events);
+            let et = c.events & EPOLLET != 0;
             let gen = if et {
-                self.desc_event_gen(&file, epoll_to_poll(reg.events))
+                self.desc_event_gen(&file, epoll_to_poll(c.events))
             } else {
                 0
             };
             // Same report formula as the scan path, verbatim.
             let report = if et {
-                (ready & !reg.prev_ready) | if gen != reg.prev_gen { ready } else { 0 }
+                (ready & !c.prev_ready) | if gen != c.prev_gen { ready } else { 0 }
             } else {
                 ready
             };
-            let disarm = reg.events & EPOLLONESHOT != 0 && report != 0;
-            if reg.prev_ready != ready || reg.prev_gen != gen || disarm {
-                updates.push((*key, ready, gen, disarm));
-            }
+            let disarm = c.events & EPOLLONESHOT != 0 && report != 0;
             if report != 0 {
-                out.push((report, reg.data));
-                if !et && !disarm {
-                    // Level-triggered readiness persists until drained:
-                    // re-queue so the next pop re-verifies it.
-                    requeue.push(*key);
-                }
+                out.push((report, c.data));
             }
+            c.outcome = PopOutcome::Verified {
+                ready,
+                gen,
+                disarm,
+                // Level-triggered readiness persists until drained:
+                // re-queue so the next pop re-verifies it.
+                requeue: report != 0 && !et && !disarm,
+            };
         }
         // Phase 3: apply under the epoll lock (ring_push is idempotent
         // against pushes that raced the verification).
-        self.with_epoll(id, |ep| {
-            for (key, prev_ready, prev_gen, disarm) in &updates {
-                if let Some(reg) = ep.interest.get_mut(key) {
-                    reg.prev_ready = *prev_ready;
-                    reg.prev_gen = *prev_gen;
-                    if *disarm {
-                        reg.armed = false;
+        let swept = {
+            let mut ep = ep.lock_ok();
+            let mut swept = Vec::new();
+            for c in cands.iter() {
+                match c.outcome {
+                    PopOutcome::Unverified => {
+                        ep.ring_push(c.key);
+                    }
+                    PopOutcome::Dead => {
+                        if let Some(reg) = ep.remove_reg(c.key) {
+                            swept.push((c.key, reg));
+                        }
+                    }
+                    PopOutcome::Verified {
+                        ready,
+                        gen,
+                        disarm,
+                        requeue,
+                    } => {
+                        if let Some(reg) = ep.interest.get_mut(&c.key) {
+                            reg.prev_ready = ready;
+                            reg.prev_gen = gen;
+                            if disarm {
+                                reg.armed = false;
+                            }
+                        }
+                        if requeue {
+                            ep.ring_push(c.key);
+                        }
                     }
                 }
             }
@@ -660,13 +757,8 @@ impl Kernel {
                     reg.hub_chans = chans.clone();
                 }
             }
-            for (key, _) in &swept {
-                ep.remove_reg(*key);
-            }
-            for key in &requeue {
-                ep.ring_push(*key);
-            }
-        })?;
+            swept
+        };
         self.hub_unregister_regs(id, swept);
         for (key, _, removed) in rewire {
             for ch in removed {
@@ -697,15 +789,15 @@ impl Kernel {
         self.sys_epoll_ready(tid, id, max)
     }
 
-    /// Parks `tid` for the blocking half of `epoll_wait`.
+    /// Parks `tid` for the blocking half of `epoll_wait` on instance
+    /// `id` (see [`Kernel::epoll_of_fd`]).
     ///
     /// Ring mode subscribes exactly two channels — the instance's ready
     /// ring and the task's signal channel — regardless of interest-list
     /// size; the hub routes every relevant readiness transition to
     /// [`Channel::EpollReady`]. The fallback scan subscribes the union
     /// of every registration's wait channels, as before.
-    pub fn epoll_subscribe(&mut self, tid: Tid, epfd: i32) -> SysResult {
-        let id = self.epoll_of_fd(tid, epfd)?;
+    pub fn epoll_subscribe(&mut self, tid: Tid, id: usize) -> SysResult {
         if self.ready {
             self.wait_subscribe(tid, Channel::EpollReady(id));
             self.wait_subscribe(tid, Channel::Signal(tid));
@@ -938,7 +1030,8 @@ mod tests {
         let ep = k.sys_epoll_create1(tid, 0).unwrap();
         k.sys_epoll_ctl(tid, ep, EPOLL_CTL_ADD, r, EPOLLIN, 0)
             .unwrap();
-        k.epoll_subscribe(tid, ep).unwrap();
+        let id = k.epoll_of_fd(tid, ep).unwrap();
+        k.epoll_subscribe(tid, id).unwrap();
         assert!(k.task_waits(tid));
         k.sys_write(tid, w, b"wake").unwrap();
         assert_eq!(k.take_woken(), vec![tid]);
@@ -1045,7 +1138,8 @@ mod tests {
         k.sys_write(tid, w, b"more").unwrap();
         assert!(k.sys_epoll_wait_ready(tid, ep, 8).unwrap().is_empty());
         // Disarmed registrations contribute no wait channels either.
-        k.epoll_subscribe(tid, ep).unwrap();
+        let id = k.epoll_of_fd(tid, ep).unwrap();
+        k.epoll_subscribe(tid, id).unwrap();
         assert!(k.task_waits(tid), "still parked on ctl/signal channels");
         k.wait_cancel(tid);
         // MOD re-arms; the pending level is reported again.
@@ -1296,7 +1390,8 @@ mod tests {
             writers.push(w);
         }
         let before = k.wait_stats().subscribes;
-        k.epoll_subscribe(tid, ep).unwrap();
+        let id = k.epoll_of_fd(tid, ep).unwrap();
+        k.epoll_subscribe(tid, id).unwrap();
         assert_eq!(
             k.wait_stats().subscribes - before,
             2,

@@ -431,6 +431,9 @@ impl Kernel {
                 // Blocked writers must observe EPIPE; pollers the hangup.
                 self.waits.post(Channel::PipeWritable(id));
                 self.waits.post(Channel::PipeReadable(id));
+                if dead {
+                    self.forget_pipe(id);
+                }
             }
             FileKind::PipeWrite(id) => {
                 let dead = self
@@ -445,11 +448,25 @@ impl Kernel {
                 // Blocked readers must observe EOF; pollers the hangup.
                 self.waits.post(Channel::PipeReadable(id));
                 self.waits.post(Channel::PipeWritable(id));
+                if dead {
+                    self.forget_pipe(id);
+                }
             }
             FileKind::Socket(id) => self.release_socket(id),
             FileKind::Epoll(id) => self.release_epoll(id),
+            // The description's address keys its channel: once it is
+            // freed, a new eventfd may reuse the address.
+            FileKind::EventFd => self
+                .waits
+                .forget(&[Channel::EventFd(Arc::as_ptr(&entry.file) as usize)]),
             _ => {}
         }
+    }
+
+    /// Drops a freed pipe's event generations (its slab id is reused).
+    fn forget_pipe(&mut self, id: usize) {
+        self.waits
+            .forget(&[Channel::PipeReadable(id), Channel::PipeWritable(id)]);
     }
 
     /// `pipe2`: returns `(read_fd, write_fd)`.
@@ -1322,6 +1339,38 @@ mod tests {
         k.sys_write(tid, fd, &2u64.to_le_bytes()).unwrap();
         k.sys_read(tid, fd, &mut buf).unwrap();
         assert_eq!(u64::from_le_bytes(buf), 7);
+    }
+
+    #[test]
+    fn released_objects_leave_no_event_generations() {
+        // Every eventfd write posts on a channel keyed by the
+        // description's address, and every pipe write on the pipe's
+        // slab id. Released objects must drop their generations, or the
+        // table grows with every object ever posted and a recycled
+        // address or id inherits a stale generation.
+        let (mut k, tid) = kp();
+        let base = k.waits.generations();
+        for _ in 0..10_000 {
+            let efd = k.sys_eventfd2(tid, 0, 0).unwrap() as i32;
+            k.sys_write(tid, efd, &1u64.to_le_bytes()).unwrap();
+            let key = {
+                let task = k.task(tid).unwrap();
+                let table = task.fdtable.lock_ok();
+                Arc::as_ptr(&table.get(efd).unwrap().file) as usize
+            };
+            assert_eq!(k.waits.generation(Channel::EventFd(key)), 1);
+            k.sys_close(tid, efd).unwrap();
+            assert_eq!(k.waits.generation(Channel::EventFd(key)), 0);
+            let (r, w) = k.sys_pipe2(tid, 0).unwrap();
+            k.sys_write(tid, w, b"x").unwrap();
+            k.sys_close(tid, r).unwrap();
+            k.sys_close(tid, w).unwrap();
+        }
+        assert!(
+            k.waits.generations() <= base + 4,
+            "{} generations left after 10k cycles (started with {base})",
+            k.waits.generations()
+        );
     }
 
     #[test]

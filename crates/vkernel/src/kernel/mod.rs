@@ -18,12 +18,13 @@ use wali_abi::Errno;
 
 use crate::clock::Clock;
 use crate::fd::{FdTable, FileKind, FileRef, OpenFile};
+use crate::hash::{FastMap, SeededState};
 use crate::lockorder::LockClass;
 use crate::pipe::Pipe;
 use crate::proc::{ProcIndex, TaskHot};
 use crate::signal::{disposition, Disposition, PendingSet, SigHandlers};
 use crate::slab::ObjSlab;
-use crate::socket::Socket;
+use crate::socket::{AddrKey, Socket};
 use crate::sync::{shared, HintFlag, MutexExt};
 use crate::task::{FsInfo, Pid, Rusage, Task, TaskState, Tid};
 use crate::vfs::{Vfs, VfsShard};
@@ -63,8 +64,10 @@ pub struct Kernel {
     pub(crate) pipes: ObjSlab<Pipe>,
     pub(crate) sockets: ObjSlab<Socket>,
     pub(crate) epolls: ObjSlab<epoll::Epoll>,
-    pub(crate) addr_registry: HashMap<String, usize>,
-    futexes: HashMap<(MmId, u32), VecDeque<Tid>>,
+    pub(crate) addr_registry: HashMap<AddrKey, usize>,
+    /// Futex wait queues by `(address space, word address)`; the seeded
+    /// hash keeps guest-chosen addresses from being made to collide.
+    futexes: FastMap<(MmId, u32), VecDeque<Tid>>,
     /// Waitqueues: blocked tasks parked on wait channels, behind their
     /// own shard lock (innermost in the ordering DAG).
     pub(crate) waits: WaitShard,
@@ -83,6 +86,11 @@ pub struct Kernel {
     /// Off (`WALI_NO_READY=1` / [`Kernel::set_ready`]) falls back to
     /// the full interest-list scan.
     pub(crate) ready: bool,
+    /// Recycled buffers of the epoll ready-ring pop (candidates and one
+    /// registration's wait channels), so a pop allocates only its
+    /// reports.
+    pub(crate) pop_scratch: Vec<epoll::PopCand>,
+    pub(crate) chan_scratch: Vec<Channel>,
 }
 
 /// Cloneable handles onto the kernel's shards: everything the
@@ -115,6 +123,8 @@ impl Kernel {
         let init = Task::init(vfs.root);
         let mut tasks = BTreeMap::new();
         tasks.insert(1, init);
+        // One hash seed for every map the kernel's hot paths probe.
+        let hasher = SeededState::new();
         let k = Kernel {
             vfs: VfsShard::new(vfs),
             clock: Clock::new(),
@@ -125,13 +135,15 @@ impl Kernel {
             sockets: ObjSlab::new(LockClass::Object),
             epolls: ObjSlab::new(LockClass::Epoll),
             addr_registry: HashMap::new(),
-            futexes: HashMap::new(),
-            waits: WaitShard::new(),
-            procs: ProcIndex::new(),
+            futexes: FastMap::with_hasher(hasher),
+            waits: WaitShard::with_hasher(hasher),
+            procs: ProcIndex::with_hasher(hasher),
             rng_state: 0x9e37_79b9_7f4a_7c15,
             console: Vec::new(),
             syscalls: Arc::new(std::sync::atomic::AtomicU64::new(0)),
             ready: std::env::var_os("WALI_NO_READY").is_none(),
+            pop_scratch: Vec::new(),
+            chan_scratch: Vec::new(),
         };
         // The waitqueue's readiness router resolves epoll ids against
         // the slab directly (hub → ring push without the kernel lock).
@@ -216,6 +228,11 @@ impl Kernel {
     /// Drains the tasks woken since the last drain, in wake order.
     pub fn take_woken(&mut self) -> Vec<Tid> {
         self.waits.take_woken()
+    }
+
+    /// Same, appended to `out` (a scheduler's reusable buffer).
+    pub fn drain_woken(&mut self, out: &mut Vec<Tid>) {
+        self.waits.drain_woken(out);
     }
 
     /// Drains the channels whose posts woke `tid` since its last drain
@@ -1266,9 +1283,7 @@ impl Kernel {
         id: usize,
         f: impl FnOnce(&mut Pipe) -> R,
     ) -> Result<R, Errno> {
-        let p = self.pipes.get(id).ok_or(Errno::Ebadf)?;
-        let mut g = p.lock_ok();
-        Ok(f(&mut g))
+        self.pipes.with(id, f).ok_or(Errno::Ebadf)
     }
 
     pub(crate) fn alloc_socket(&mut self, sock: Socket) -> usize {
@@ -1283,9 +1298,7 @@ impl Kernel {
         id: usize,
         f: impl FnOnce(&mut Socket) -> R,
     ) -> Result<R, Errno> {
-        let s = self.sockets.get(id).ok_or(Errno::Ebadf)?;
-        let mut g = s.lock_ok();
-        Ok(f(&mut g))
+        self.sockets.with(id, f).ok_or(Errno::Ebadf)
     }
 
     // --- Teardown audit ----------------------------------------------------

@@ -11,7 +11,7 @@ use wali_abi::signals::Signal;
 use wali_abi::Errno;
 
 use crate::fd::{FileKind, FileRef, OpenFile};
-use crate::socket::{addr_key, SockState, Socket};
+use crate::socket::{AddrKey, SockState, Socket};
 use crate::sync::MutexExt;
 use crate::vfs::DevKind;
 use crate::vfs::InodeKind;
@@ -82,17 +82,14 @@ impl Kernel {
             WaliSockaddr::Inet { addr: ip, port: 0 } => {
                 // Ephemeral port assignment.
                 let mut port = 49152u16;
-                while self
-                    .addr_registry
-                    .contains_key(&addr_key(&WaliSockaddr::Inet { addr: ip, port }))
-                {
+                while self.addr_registry.contains_key(&AddrKey::Inet(ip, port)) {
                     port = port.checked_add(1).ok_or(Errno::Eaddrinuse)?;
                 }
                 WaliSockaddr::Inet { addr: ip, port }
             }
             other => other,
         };
-        let key = addr_key(&addr);
+        let key = AddrKey::of(&addr);
         if self.addr_registry.contains_key(&key) {
             return Err(Errno::Eaddrinuse.into());
         }
@@ -148,7 +145,7 @@ impl Kernel {
         }
         let listener_id = *self
             .addr_registry
-            .get(&addr_key(&addr))
+            .get(&AddrKey::of(&addr))
             .ok_or(Errno::Econnrefused)?;
         // Create the server-side socket of the pair. The per-socket
         // locks are taken strictly one at a time (equal-rank locks must
@@ -295,7 +292,7 @@ impl Kernel {
     ) -> SysResult<usize> {
         let target = *self
             .addr_registry
-            .get(&addr_key(dest))
+            .get(&AddrKey::of(dest))
             .ok_or(Errno::Econnrefused)?;
         let src = self
             .with_sock(from_id, |s| s.local.clone())?
@@ -515,10 +512,17 @@ impl Kernel {
     /// Posts every channel a hangup on socket `id` can unblock: its own
     /// readers/senders and, when connected, the peer's.
     fn post_socket_hangup(&mut self, id: usize) {
-        let peer = match self.with_sock(id, |s| s.state.clone()) {
-            Ok(SockState::Connected { peer }) => Some(peer),
-            _ => None,
-        };
+        let peer = self
+            .with_sock(id, |s| match s.state {
+                SockState::Connected { peer } => Some(peer),
+                _ => None,
+            })
+            .ok()
+            .flatten();
+        self.post_hangup(id, peer);
+    }
+
+    fn post_hangup(&mut self, id: usize, peer: Option<usize>) {
         self.waits.post(Channel::SockReadable(id));
         self.waits.post(Channel::SockSpace(id));
         if let Some(p) = peer {
@@ -575,40 +579,47 @@ impl Kernel {
 
     /// Tears a socket down when its last descriptor closes.
     pub(crate) fn release_socket(&mut self, id: usize) {
-        // Post the hangup while the peer link is still visible.
-        self.post_socket_hangup(id);
-        // Unregister the bound address only if this socket owns the
-        // registration (accepted connections share the listener's local
-        // address but must not tear its registration down).
-        if let Ok(Some(local)) = self.with_sock(id, |s| s.local.clone()) {
-            let key = addr_key(&local);
-            if self.addr_registry.get(&key) == Some(&id) {
-                self.addr_registry.remove(&key);
+        // One visit under the socket's lock takes what teardown needs and
+        // closes it; the peer and any unaccepted connections close next.
+        // The hangup posts come after every state change, so a woken
+        // waiter (or a ready-ring pop on another worker) sees it.
+        let (local, state) = self
+            .with_sock(id, |s| {
+                (
+                    s.local.take(),
+                    std::mem::replace(&mut s.state, SockState::Closed),
+                )
+            })
+            .unwrap_or((None, SockState::Closed));
+        let peer = match state {
+            SockState::Connected { peer } => Some(peer),
+            SockState::Listening { pending, .. } => {
+                for o in pending {
+                    let _ = self.with_sock(o, |os| os.state = SockState::Closed);
+                }
+                None
             }
-        }
-        let peer = match self.with_sock(id, |s| s.state.clone()) {
-            Ok(SockState::Connected { peer }) => Some(peer),
             _ => None,
         };
         if let Some(p) = peer {
             let _ = self.with_sock(p, |ps| ps.state = SockState::Closed);
         }
-        // Drop pending unaccepted connections of a listener; free the
-        // slab slot only after the last per-socket guard is dropped.
-        let orphans = self
-            .with_sock(id, |s| {
-                let orphans: Vec<usize> = match &mut s.state {
-                    SockState::Listening { pending, .. } => pending.drain(..).collect(),
-                    _ => Vec::new(),
-                };
-                s.state = SockState::Closed;
-                orphans
-            })
-            .unwrap_or_default();
-        for o in orphans {
-            let _ = self.with_sock(o, |os| os.state = SockState::Closed);
+        // Unregister the bound address only if this socket owns the
+        // registration (accepted connections share the listener's local
+        // address but must not tear its registration down).
+        if let Some(local) = local {
+            let key = AddrKey::of(&local);
+            if self.addr_registry.get(&key) == Some(&id) {
+                self.addr_registry.remove(&key);
+            }
         }
+        // Free the slab slot only after the last per-socket guard is
+        // dropped.
         self.sockets.free(id);
+        self.post_hangup(id, peer);
+        // The slab id is reused: a new socket must not inherit these.
+        self.waits
+            .forget(&[Channel::SockReadable(id), Channel::SockSpace(id)]);
     }
 
     // --- poll ---------------------------------------------------------------

@@ -32,6 +32,7 @@
 
 pub mod clock;
 pub mod fd;
+pub mod hash;
 pub mod kernel;
 pub mod lockorder;
 pub mod pipe;

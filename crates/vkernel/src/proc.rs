@@ -9,14 +9,14 @@
 //! removes.
 //!
 //! [`ProcIndex`] mirrors exactly that hot subset into 16 hash-map
-//! shards keyed by `tid & 15`. The kernel maintains the mirror under
+//! shards keyed by `tid & 15`, hashed with the kernel's seeded
+//! [`crate::hash::FastHasher`]. The kernel maintains the mirror under
 //! its own lock (insert on spawn/fork/clone, remove on reap), so a
 //! lookup is one shard lock — uncontended unless two workers touch
 //! tids in the same shard simultaneously.
 
-use std::collections::HashMap;
-
 use crate::fd::FdTable;
+use crate::hash::{FastMap, SeededState};
 use crate::lockorder::{LockClass, Tracked};
 use crate::sync::{HintFlag, Shared};
 use crate::task::{Pid, Tid};
@@ -41,7 +41,7 @@ const SHARDS: usize = 16;
 /// A cloneable, sharded tid → [`TaskHot`] index.
 #[derive(Clone, Debug)]
 pub struct ProcIndex {
-    shards: Arc<[Tracked<HashMap<Tid, TaskHot>>; SHARDS]>,
+    shards: Arc<[Tracked<FastMap<Tid, TaskHot>>; SHARDS]>,
 }
 
 impl Default for ProcIndex {
@@ -51,16 +51,21 @@ impl Default for ProcIndex {
 }
 
 impl ProcIndex {
-    /// An empty index.
+    /// An empty index with its own hash seed.
     pub fn new() -> ProcIndex {
+        ProcIndex::with_hasher(SeededState::new())
+    }
+
+    /// An empty index whose shards hash with `state`.
+    pub fn with_hasher(state: SeededState) -> ProcIndex {
         ProcIndex {
             shards: Arc::new(std::array::from_fn(|_| {
-                Tracked::new(LockClass::Proc, HashMap::new())
+                Tracked::new(LockClass::Proc, FastMap::with_hasher(state))
             })),
         }
     }
 
-    fn shard(&self, tid: Tid) -> &Tracked<HashMap<Tid, TaskHot>> {
+    fn shard(&self, tid: Tid) -> &Tracked<FastMap<Tid, TaskHot>> {
         &self.shards[(tid as usize) & (SHARDS - 1)]
     }
 

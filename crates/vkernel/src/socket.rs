@@ -119,16 +119,23 @@ impl Socket {
     }
 }
 
-/// Normalizes an address into a registry key.
-pub fn addr_key(addr: &WaliSockaddr) -> String {
-    match addr {
-        WaliSockaddr::Inet { addr, port } => {
-            format!(
-                "inet:{}.{}.{}.{}:{}",
-                addr[0], addr[1], addr[2], addr[3], port
-            )
+/// An address as the bound-address registry keys it: typed, so a lookup
+/// on every `connect` and every socket close formats no string.
+#[derive(Clone, Debug, PartialEq, Eq, Hash)]
+pub enum AddrKey {
+    /// `AF_INET`: address octets and port.
+    Inet([u8; 4], u16),
+    /// `AF_UNIX`: the path.
+    Unix(String),
+}
+
+impl AddrKey {
+    /// The registry key of `addr`.
+    pub fn of(addr: &WaliSockaddr) -> AddrKey {
+        match addr {
+            WaliSockaddr::Inet { addr, port } => AddrKey::Inet(*addr, *port),
+            WaliSockaddr::Unix { path } => AddrKey::Unix(path.clone()),
         }
-        WaliSockaddr::Unix { path } => format!("unix:{path}"),
     }
 }
 
@@ -165,10 +172,12 @@ mod tests {
             addr: [127, 0, 0, 1],
             port: 80,
         };
-        assert_eq!(addr_key(&a), "inet:127.0.0.1:80");
+        assert_eq!(AddrKey::of(&a), AddrKey::Inet([127, 0, 0, 1], 80));
         let u = WaliSockaddr::Unix {
             path: "/tmp/s".into(),
         };
-        assert_eq!(addr_key(&u), "unix:/tmp/s");
+        assert_eq!(AddrKey::of(&u), AddrKey::Unix("/tmp/s".into()));
+        // Families never collide, even on look-alike contents.
+        assert_ne!(AddrKey::of(&a), AddrKey::Unix("127.0.0.1:80".into()));
     }
 }

@@ -21,10 +21,12 @@
 //! because the kernel is single-threaded and subscription happens before
 //! the `Block` return reaches the scheduler.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::hash_map::Entry;
+use std::hash::BuildHasher;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 
+use crate::hash::{FastMap, FastSet, SeededState};
 use crate::kernel::epoll::Epoll;
 use crate::lockorder::{LockClass, Tracked};
 use crate::slab::ObjSlab;
@@ -80,22 +82,35 @@ pub struct WaitStats {
     pub wakeups: u64,
 }
 
+/// Slots of the ready hub's watcher filter ([`WaitShard::post`]).
+const HUB_SLOTS: usize = 64;
+
+/// Emptied waiter and subscription lists kept for reuse, at most this
+/// many of each: every park fills one list per channel and one per task,
+/// and every wake empties them again.
+const SPARE_LISTS: usize = 64;
+
 /// The kernel's waitqueue table.
-#[derive(Debug, Default)]
+///
+/// The maps hash with the kernel's seeded [`crate::hash::FastHasher`]:
+/// they are probed on every park, post and wake.
+#[derive(Debug)]
 pub struct WaitSet {
     /// Channel → subscribed tasks, in subscription order.
-    waiters: HashMap<Channel, Vec<Tid>>,
+    waiters: FastMap<Channel, Vec<Tid>>,
     /// Channel → number of posts ever (hit or miss): the event
     /// generation. Edge-triggered epoll re-arms a registration when the
     /// generation of any of its channels moved — i.e. when a new
     /// transition happened since the last report, which is Linux's ET
     /// re-arm condition (new data re-notifies even while still ready).
-    gens: HashMap<Channel, u64>,
+    /// The entries of an eventfd, pipe, socket or epoll instance are
+    /// dropped when it is released ([`WaitSet::forget`]).
+    gens: FastMap<Channel, u64>,
     /// Reverse index: task → channels it is subscribed to.
-    subscribed: HashMap<Tid, Vec<Channel>>,
+    subscribed: FastMap<Tid, Vec<Channel>>,
     /// Woken tasks in wake order, deduplicated.
     woken: Vec<Tid>,
-    woken_set: HashSet<Tid>,
+    woken_set: FastSet<Tid>,
     /// Lock-free mirror of `!woken.is_empty()`: SMP workers poll this
     /// between slices without taking the kernel lock (the authoritative
     /// drain still happens under it, via [`WaitSet::take_woken`]).
@@ -105,14 +120,32 @@ pub struct WaitSet {
     /// retries (`wali_ring_enter`) consult this to re-attempt the
     /// operations whose channel actually fired first, so CQE order
     /// reflects wakeup order rather than submission order.
-    fired: HashMap<Tid, Vec<Channel>>,
+    fired: FastMap<Tid, Vec<Channel>>,
     /// Tasks that armed fired-channel recording for their next wakeups
     /// ([`WaitSet::track_fired`], one-shot until the next drain). Only
     /// batched-syscall parks need the record, so only they pay the
     /// per-wake bookkeeping; everyone else's wakes skip it entirely.
-    tracked: HashSet<Tid>,
+    tracked: FastSet<Tid>,
+    /// Emptied `waiters` lists, reused by the next subscription.
+    spare_tids: Vec<Vec<Tid>>,
+    /// Emptied `subscribed` lists, reused by the next subscription.
+    spare_chans: Vec<Vec<Channel>>,
     /// Counters.
     pub stats: WaitStats,
+}
+
+impl Default for WaitSet {
+    fn default() -> WaitSet {
+        WaitSet::with_hasher(SeededState::new())
+    }
+}
+
+/// Returns an emptied list to its spare pool.
+fn recycle<T>(pool: &mut Vec<Vec<T>>, mut list: Vec<T>) {
+    if pool.len() < SPARE_LISTS {
+        list.clear();
+        pool.push(list);
+    }
 }
 
 impl WaitSet {
@@ -121,14 +154,39 @@ impl WaitSet {
         WaitSet::default()
     }
 
+    /// Creates an empty waitqueue table whose maps hash with `state`.
+    pub fn with_hasher(state: SeededState) -> WaitSet {
+        WaitSet {
+            waiters: FastMap::with_hasher(state),
+            gens: FastMap::with_hasher(state),
+            subscribed: FastMap::with_hasher(state),
+            woken: Vec::new(),
+            woken_set: FastSet::with_hasher(state),
+            woken_hint: Arc::default(),
+            fired: FastMap::with_hasher(state),
+            tracked: FastSet::with_hasher(state),
+            spare_tids: Vec::new(),
+            spare_chans: Vec::new(),
+            stats: WaitStats::default(),
+        }
+    }
+
     /// Subscribes `tid` to `ch`. Idempotent per `(tid, ch)` pair.
     pub fn subscribe(&mut self, tid: Tid, ch: Channel) {
-        let chans = self.subscribed.entry(tid).or_default();
+        let chans = match self.subscribed.entry(tid) {
+            Entry::Occupied(e) => e.into_mut(),
+            Entry::Vacant(e) => e.insert(self.spare_chans.pop().unwrap_or_default()),
+        };
         if chans.contains(&ch) {
             return;
         }
         chans.push(ch);
-        self.waiters.entry(ch).or_default().push(tid);
+        match self.waiters.entry(ch) {
+            Entry::Occupied(e) => e.into_mut().push(tid),
+            Entry::Vacant(e) => e
+                .insert(self.spare_tids.pop().unwrap_or_default())
+                .push(tid),
+        }
         self.stats.subscribes += 1;
     }
 
@@ -143,9 +201,10 @@ impl WaitSet {
         };
         self.stats.posts_hit += 1;
         let n = tids.len();
-        for tid in tids {
+        for &tid in &tids {
             self.wake_inner(tid, Some(ch));
         }
+        recycle(&mut self.spare_tids, tids);
         n
     }
 
@@ -155,20 +214,27 @@ impl WaitSet {
         self.wake_inner(tid, None);
     }
 
+    /// Removes `tid` from the waiter lists of `chans`, except `skip`
+    /// (already removed by the post that woke it).
+    fn leave(&mut self, tid: Tid, chans: &[Channel], skip: Option<Channel>) {
+        for &ch in chans {
+            if Some(ch) == skip {
+                continue;
+            }
+            if let Entry::Occupied(mut q) = self.waiters.entry(ch) {
+                q.get_mut().retain(|t| *t != tid);
+                if q.get().is_empty() {
+                    recycle(&mut self.spare_tids, q.remove());
+                }
+            }
+        }
+    }
+
     fn wake_inner(&mut self, tid: Tid, via: Option<Channel>) {
         // Drop the task's other subscriptions (already removed from `via`).
         if let Some(chans) = self.subscribed.remove(&tid) {
-            for ch in chans {
-                if Some(ch) == via {
-                    continue;
-                }
-                if let Some(q) = self.waiters.get_mut(&ch) {
-                    q.retain(|t| *t != tid);
-                    if q.is_empty() {
-                        self.waiters.remove(&ch);
-                    }
-                }
-            }
+            self.leave(tid, &chans, via);
+            recycle(&mut self.spare_chans, chans);
         }
         if let Some(ch) = via {
             if !self.tracked.is_empty() && self.tracked.contains(&tid) {
@@ -199,15 +265,21 @@ impl WaitSet {
         self.tracked.remove(&tid);
         self.fired.remove(&tid);
         if let Some(chans) = self.subscribed.remove(&tid) {
-            for ch in chans {
-                if let Some(q) = self.waiters.get_mut(&ch) {
-                    q.retain(|t| *t != tid);
-                    if q.is_empty() {
-                        self.waiters.remove(&ch);
-                    }
-                }
-            }
+            self.leave(tid, &chans, None);
+            recycle(&mut self.spare_chans, chans);
         }
+    }
+
+    /// Drops the event generation of `ch`: its object was released, and
+    /// an object that later reuses the id (or the address, for
+    /// [`Channel::EventFd`]) starts from zero instead of inheriting it.
+    pub fn forget(&mut self, ch: Channel) {
+        self.gens.remove(&ch);
+    }
+
+    /// Number of channels with an event generation (leak diagnostics).
+    pub fn generations(&self) -> usize {
+        self.gens.len()
     }
 
     /// True when `tid` is subscribed to at least one channel.
@@ -217,9 +289,17 @@ impl WaitSet {
 
     /// Drains the woken list in wake order.
     pub fn take_woken(&mut self) -> Vec<Tid> {
+        let mut out = Vec::new();
+        self.drain_woken(&mut out);
+        out
+    }
+
+    /// Drains the woken list in wake order onto the end of `out` (the
+    /// scheduler's drain, which reuses one buffer).
+    pub fn drain_woken(&mut self, out: &mut Vec<Tid>) {
         self.woken_set.clear();
         self.woken_hint.store(false, Ordering::Release);
-        std::mem::take(&mut self.woken)
+        out.append(&mut self.woken);
     }
 
     /// Drains the channels whose posts woke `tid` since its last drain,
@@ -264,14 +344,14 @@ impl WaitSet {
 /// registrations whose readiness that channel's transitions may change.
 ///
 /// Kept outside the [`WaitSet`] lock so the common post (no epoll
-/// watcher anywhere) pays a single relaxed atomic load, and locked at
+/// watcher on its channel) pays one hash and one atomic load, and locked at
 /// [`LockClass::ReadyHub`] — *below* the slab and epoll classes — so
 /// the router can look up targets and then take each target's epoll
 /// lock without inverting the DAG.
 #[derive(Debug, Default)]
 pub struct ReadyHub {
     /// Channel → `(epoll id, registration key)` watchers.
-    watchers: HashMap<Channel, Vec<(usize, u64)>>,
+    watchers: FastMap<Channel, Vec<(usize, u64)>>,
 }
 
 impl ReadyHub {
@@ -298,12 +378,6 @@ impl ReadyHub {
         }
         hit
     }
-
-    /// Snapshot of the watchers of `ch` (cloned so the caller can drop
-    /// the hub lock before taking any epoll lock).
-    fn targets(&self, ch: Channel) -> Vec<(usize, u64)> {
-        self.watchers.get(&ch).cloned().unwrap_or_default()
-    }
 }
 
 /// The waitqueue table behind its own shard lock.
@@ -324,10 +398,14 @@ pub struct WaitShard {
     inner: Arc<Tracked<WaitSet>>,
     /// Ready-ring routing table (see [`ReadyHub`]).
     hub: Arc<Tracked<ReadyHub>>,
-    /// Total watcher entries in the hub: the post fast path skips the
-    /// hub lock entirely while this is zero (scan mode, or no epoll
-    /// registrations anywhere).
-    hub_count: Arc<AtomicUsize>,
+    /// A counting filter over the hub: slot `hash(ch) % HUB_SLOTS`
+    /// counts the watcher entries whose channel hashes there. A post
+    /// whose slot reads zero has no watcher and skips the hub lock
+    /// entirely (scan mode, no epoll registrations, or — the common case
+    /// on a busy server — a channel no epoll instance watches).
+    hub_filter: Arc<[AtomicUsize; HUB_SLOTS]>,
+    /// The kernel's hash seed, which places channels in the filter.
+    hasher: SeededState,
     /// The kernel's epoll slab, wired once at kernel construction so
     /// the router can push onto ready rings. Posts that race the wiring
     /// window simply skip routing (no epoll exists yet to watch).
@@ -341,12 +419,24 @@ impl Default for WaitShard {
 }
 
 impl WaitShard {
-    /// A fresh, empty waitqueue shard.
+    /// A fresh, empty waitqueue shard with its own hash seed.
     pub fn new() -> WaitShard {
+        WaitShard::with_hasher(SeededState::new())
+    }
+
+    /// A fresh, empty waitqueue shard whose tables hash with `state`
+    /// (the kernel shares one seed among all its maps).
+    pub fn with_hasher(state: SeededState) -> WaitShard {
         WaitShard {
-            inner: Arc::new(Tracked::new(LockClass::Waits, WaitSet::new())),
-            hub: Arc::new(Tracked::new(LockClass::ReadyHub, ReadyHub::default())),
-            hub_count: Arc::new(AtomicUsize::new(0)),
+            inner: Arc::new(Tracked::new(LockClass::Waits, WaitSet::with_hasher(state))),
+            hub: Arc::new(Tracked::new(
+                LockClass::ReadyHub,
+                ReadyHub {
+                    watchers: FastMap::with_hasher(state),
+                },
+            )),
+            hub_filter: Arc::new(std::array::from_fn(|_| AtomicUsize::new(0))),
+            hasher: state,
             epolls: Arc::new(OnceLock::new()),
         }
     }
@@ -362,20 +452,28 @@ impl WaitShard {
     /// [`LockClass::ReadyHub`] (notably the epoll lock itself).
     pub fn hub_register(&self, ch: Channel, eid: usize, key: u64) {
         if self.hub.lock_ok().register(ch, eid, key) {
-            self.hub_count.fetch_add(1, Ordering::AcqRel);
+            self.hub_slot(ch).fetch_add(1, Ordering::AcqRel);
         }
     }
 
     /// Removes a watcher added by [`WaitShard::hub_register`].
     pub fn hub_unregister(&self, ch: Channel, eid: usize, key: u64) {
         if self.hub.lock_ok().unregister(ch, eid, key) {
-            self.hub_count.fetch_sub(1, Ordering::AcqRel);
+            self.hub_slot(ch).fetch_sub(1, Ordering::AcqRel);
         }
+    }
+
+    /// The filter slot counting the watchers of `ch`.
+    fn hub_slot(&self, ch: Channel) -> &AtomicUsize {
+        &self.hub_filter[self.hasher.hash_one(ch) as usize % HUB_SLOTS]
     }
 
     /// Total watcher entries currently in the hub (leak audits).
     pub fn hub_entries(&self) -> usize {
-        self.hub_count.load(Ordering::Acquire)
+        self.hub_filter
+            .iter()
+            .map(|slot| slot.load(Ordering::Acquire))
+            .sum()
     }
 
     /// See [`WaitSet::subscribe`].
@@ -387,30 +485,47 @@ impl WaitShard {
     /// registration watches `ch`, push it onto that instance's ready
     /// ring and post [`Channel::EpollReady`] for freshly queued entries.
     ///
-    /// Locking: the waitqueue lock is released before the hub lock, the
-    /// hub lock before any epoll lock, and the epoll lock before the
-    /// recursive `EpollReady` post — each acquisition starts from at
-    /// most the caller's held ranks (≤ `Kernel`), so the sequence is
-    /// rank-legal from every post site. Recursion terminates because a
+    /// Locking: the waitqueue lock is released before the hub lock. The
+    /// ring pushes run under the hub lock, each taking the slab and then
+    /// the epoll lock, which rank above it; nothing takes the hub lock
+    /// while holding either, so the nesting is rank-legal and no watcher
+    /// list is copied. The hub lock is released before the recursive
+    /// `EpollReady` posts, which take it again. Every acquisition starts
+    /// from at most the caller's held ranks (≤ `Kernel`), so the sequence
+    /// is rank-legal from every post site. Recursion terminates because a
     /// push only reports "freshly queued" once per pop cycle.
     pub fn post(&self, ch: Channel) -> usize {
         let n = self.inner.lock_ok().post(ch);
-        if self.hub_count.load(Ordering::Acquire) == 0 {
-            return n;
-        }
-        let targets = self.hub.lock_ok().targets(ch);
-        if targets.is_empty() {
+        if self.hub_slot(ch).load(Ordering::Acquire) == 0 {
             return n;
         }
         let Some(epolls) = self.epolls.get() else {
             return n;
         };
-        for (eid, key) in targets {
-            let Some(ep) = epolls.get(eid) else { continue };
-            let pushed = ep.lock_ok().ring_push(key);
-            if pushed {
-                self.post(Channel::EpollReady(eid));
+        // Instances whose ring gained an entry; a post reaches a handful
+        // of watchers, so the list lives on the stack unless it spills.
+        let mut fresh = [0usize; 8];
+        let mut fresh_len = 0;
+        let mut spilled = Vec::new();
+        {
+            let hub = self.hub.lock_ok();
+            let Some(targets) = hub.watchers.get(&ch) else {
+                return n;
+            };
+            for &(eid, key) in targets {
+                if epolls.with(eid, |ep| ep.ring_push(key)) == Some(true) {
+                    match fresh.get_mut(fresh_len) {
+                        Some(slot) => {
+                            *slot = eid;
+                            fresh_len += 1;
+                        }
+                        None => spilled.push(eid),
+                    }
+                }
             }
+        }
+        for &eid in fresh[..fresh_len].iter().chain(&spilled) {
+            self.post(Channel::EpollReady(eid));
         }
         n
     }
@@ -433,6 +548,24 @@ impl WaitShard {
     /// See [`WaitSet::take_woken`].
     pub fn take_woken(&self) -> Vec<Tid> {
         self.inner.lock_ok().take_woken()
+    }
+
+    /// See [`WaitSet::drain_woken`].
+    pub fn drain_woken(&self, out: &mut Vec<Tid>) {
+        self.inner.lock_ok().drain_woken(out);
+    }
+
+    /// [`WaitSet::forget`] for each of `chans`, under one lock.
+    pub fn forget(&self, chans: &[Channel]) {
+        let mut w = self.inner.lock_ok();
+        for &ch in chans {
+            w.forget(ch);
+        }
+    }
+
+    /// See [`WaitSet::generations`].
+    pub fn generations(&self) -> usize {
+        self.inner.lock_ok().generations()
     }
 
     /// See [`WaitSet::track_fired`].

@@ -7,7 +7,6 @@
 
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
 
 use vkernel::kernel::{KernelHandles, SignalDelivery};
 use vkernel::{shared, HintFlag, Kernel, LockClass, MmId, MutexExt, Shared, Tid, Tracked};
@@ -130,7 +129,7 @@ impl WaliContext {
             brk_start,
             args: Vec::new(),
             env: Vec::new(),
-            trace: Trace::default(),
+            trace: Trace::for_task(tid),
             policy: None,
             retry_deadline: None,
             handles,
@@ -165,7 +164,7 @@ impl WaliContext {
             brk_start: self.brk_start,
             args: self.args.clone(),
             env: self.env.clone(),
-            trace: Trace::default(),
+            trace: self.child_trace(tid),
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
@@ -200,7 +199,7 @@ impl WaliContext {
             brk_start: self.brk_start,
             args: self.args.clone(),
             env: self.env.clone(),
-            trace: Trace::default(),
+            trace: self.child_trace(tid),
             policy: self.policy.clone(),
             retry_deadline: None,
             handles: self.handles.clone(),
@@ -216,12 +215,21 @@ impl WaliContext {
         }
     }
 
-    /// Runs `f` against the kernel, attributing the elapsed time to the
-    /// kernel layer (Fig. 7 accounting).
+    /// A fresh trace for a child task that keeps this task's ledger
+    /// period.
+    fn child_trace(&self, tid: Tid) -> Trace {
+        let mut trace = Trace::for_task(tid);
+        trace.ledger.set_period(self.trace.ledger.period());
+        trace
+    }
+
+    /// Runs `f` against the kernel. Inside a syscall the ledger times,
+    /// the elapsed time goes to the kernel layer (Fig. 7 accounting);
+    /// otherwise nothing reads the clock.
     pub fn with_kernel<R>(&mut self, f: impl FnOnce(&mut Kernel) -> R) -> R {
-        let t0 = Instant::now();
+        let t0 = self.trace.ledger.kernel_begin();
         let r = f(&mut self.kernel.lock_ok());
-        self.trace.kernel_time += t0.elapsed();
+        self.trace.ledger.kernel_end(t0);
         r
     }
 

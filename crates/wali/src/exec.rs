@@ -566,7 +566,7 @@ fn run_slice(runner: &RunnerView<'_>, pool: &SmpPool, widx: usize, mut slot: Slo
             }
         }
     };
-    slot.ctx.trace.total_time += t0.elapsed();
+    slot.ctx.trace.add_slice(t0.elapsed());
     slot.ctx.trace.wasm_steps += slot.thread.steps - steps0;
     slot.ctx.trace.reg_steps += slot.thread.reg_steps - reg0;
     let ran_wasm = slot.thread.steps != steps0;
@@ -633,9 +633,7 @@ fn handle_suspend(
             // Kernel-side reads before the pool lock (lock order).
             let waits = {
                 let mut k = pool.kernel.lock_ok();
-                if let Ok(t) = k.task_mut(tid) {
-                    t.rusage.nvcsw += 1;
-                }
+                crate::runner::count_voluntary_switch(&mut k, tid);
                 k.task_waits(tid)
             };
             // Divergence from the single loop: both park every blocked

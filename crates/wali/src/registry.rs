@@ -4,8 +4,9 @@
 //! per syscall, registered as `wali.SYS_<name>` with an all-i64 signature
 //! (§3.5 name binding). The wrapper generated around every call is the
 //! mechanical part of the recipe (§5): count the call, apply the policy
-//! layer, tick the kernel clock, time the layers, and map the kernel
-//! result onto the raw Linux return convention (negative errno).
+//! layer, tick the kernel clock, time the layers (sampled: see
+//! `trace::Ledger`), and map the kernel result onto the raw Linux return
+//! convention (negative errno).
 
 use vkernel::{Block, SysError};
 use wali_abi::Errno;
@@ -132,14 +133,14 @@ macro_rules! sys {
             concat!("SYS_", $name),
             move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
                   args: &[wasm::interp::Value]| {
-                let t0 = std::time::Instant::now();
+                let t0 = caller.data.trace.ledger.begin();
                 if let Err(early) = crate::registry::enter(caller, name, sysno) {
-                    caller.data.trace.host_time += t0.elapsed();
+                    caller.data.trace.ledger.end(t0);
                     return early;
                 }
                 #[allow(clippy::redundant_closure_call)]
                 let r = ($f)(caller, args);
-                caller.data.trace.host_time += t0.elapsed();
+                caller.data.trace.ledger.end(t0);
                 crate::registry::finish(concat!("SYS_", $name), sysno, args, r)
             },
         );
@@ -157,14 +158,14 @@ macro_rules! sysx {
             concat!("SYS_", $name),
             move |caller: &mut wasm::host::Caller<'_, crate::context::WaliContext>,
                   args: &[wasm::interp::Value]| {
-                let t0 = std::time::Instant::now();
+                let t0 = caller.data.trace.ledger.begin();
                 if let Err(early) = crate::registry::enter(caller, name, sysno) {
-                    caller.data.trace.host_time += t0.elapsed();
+                    caller.data.trace.ledger.end(t0);
                     return early;
                 }
                 #[allow(clippy::redundant_closure_call)]
                 let r = ($f)(caller, args);
-                caller.data.trace.host_time += t0.elapsed();
+                caller.data.trace.ledger.end(t0);
                 r
             },
         );
@@ -173,7 +174,8 @@ macro_rules! sysx {
 
 pub(crate) use {sys, sysx};
 
-/// Runs a kernel operation for the calling task, with layer timing.
+/// Runs a kernel operation for the calling task, timed when the
+/// current syscall is one the ledger samples.
 pub(crate) fn k<R>(
     caller: &mut Caller<'_, WaliContext>,
     f: impl FnOnce(&mut vkernel::Kernel, vkernel::Tid) -> R,

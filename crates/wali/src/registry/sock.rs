@@ -22,8 +22,12 @@ fn read_sockaddr(
     ptr: u32,
     len: usize,
 ) -> Result<WaliSockaddr, Errno> {
-    let raw = read_bytes(&c.instance.memory, ptr, len.clamp(2, 128))?;
-    WaliSockaddr::read_from(&raw)
+    with_slice(
+        &c.instance.memory,
+        ptr,
+        len.clamp(2, 128),
+        WaliSockaddr::read_from,
+    )?
 }
 
 fn write_sockaddr(
@@ -336,7 +340,8 @@ fn do_epoll_wait(c: C, a: &[Value]) -> R {
                     return Ok(());
                 }
             }
-            kk.epoll_subscribe(tid, epfd)?;
+            let id = kk.epoll_of_fd(tid, epfd)?;
+            kk.epoll_subscribe(tid, id)?;
             Err(match deadline {
                 Some(d) => vkernel::block_until(d),
                 None => vkernel::block(),
@@ -346,7 +351,10 @@ fn do_epoll_wait(c: C, a: &[Value]) -> R {
         return Ok(0);
     }
     let ready = k(c, |kk, tid| {
-        let ready = kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)?;
+        // One resolve per attempt: the pop, the subscribe and the
+        // lost-wakeup recheck all address the instance by id.
+        let id = kk.epoll_of_fd(tid, epfd)?;
+        let ready = kk.sys_epoll_ready(tid, id, maxevents as usize)?;
         if !ready.is_empty() || timeout_ms == 0 {
             return Ok(ready);
         }
@@ -357,7 +365,7 @@ fn do_epoll_wait(c: C, a: &[Value]) -> R {
                 return Ok(Vec::new());
             }
         }
-        kk.epoll_subscribe(tid, epfd)?;
+        kk.epoll_subscribe(tid, id)?;
         if kk.ready_on() {
             // The lock-free syscall fast path posts without the kernel
             // lock, so a readiness transition can land between the pop
@@ -365,7 +373,7 @@ fn do_epoll_wait(c: C, a: &[Value]) -> R {
             // consumer subscribes-then-rechecks — one of the two sides
             // always sees the other. The recheck is an O(ready) ring
             // pop, cheap enough to run on every park.
-            let late = kk.sys_epoll_wait_ready(tid, epfd, maxevents as usize)?;
+            let late = kk.sys_epoll_ready(tid, id, maxevents as usize)?;
             if !late.is_empty() {
                 kk.wait_cancel(tid);
                 return Ok(late);

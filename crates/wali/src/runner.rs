@@ -229,6 +229,15 @@ pub(crate) struct Slot {
     pub(crate) pending: Option<Pending>,
 }
 
+/// Counts a park as a voluntary context switch in `tid`'s rusage. A
+/// plain kernel update, outside every syscall and so outside the
+/// layer ledger: the single loop and the SMP workers both call it.
+pub(crate) fn count_voluntary_switch(k: &mut Kernel, tid: Tid) {
+    if let Ok(t) = k.task_mut(tid) {
+        t.rusage.nvcsw += 1;
+    }
+}
+
 /// Whether the sharded syscall fast path is on by default (the
 /// `WALI_NO_SHARD` escape hatch routes every syscall through the big
 /// kernel lock — the A/B baseline the equivalence oracle compares
@@ -325,6 +334,8 @@ pub struct WaliRunner {
     clock: vkernel::Clock,
     /// Lock-free mirror of "the kernel has undrained wakeups".
     woken_hint: std::sync::Arc<std::sync::atomic::AtomicBool>,
+    /// The wakeup drain's reusable buffer.
+    woken_buf: Vec<Tid>,
 }
 
 impl WaliRunner {
@@ -357,6 +368,7 @@ impl WaliRunner {
             stats: AtomicSched::default(),
             clock,
             woken_hint,
+            woken_buf: Vec::new(),
         }
     }
 
@@ -641,8 +653,9 @@ impl WaliRunner {
         if !self.woken_hint.load(Ordering::Acquire) {
             return;
         }
-        let woken = self.kernel.lock_ok().take_woken();
-        for tid in woken {
+        let mut woken = std::mem::take(&mut self.woken_buf);
+        self.kernel.lock_ok().drain_woken(&mut woken);
+        for &tid in &woken {
             if self.unpark(tid) {
                 self.stats.wakeups.fetch_add(1, Ordering::Relaxed);
                 self.run_queue.push_back(tid);
@@ -650,6 +663,8 @@ impl WaliRunner {
             // Wakeups for queued/running tasks are redundant: they will
             // observe the new state on their own next attempt.
         }
+        woken.clear();
+        self.woken_buf = woken;
     }
 
     /// Nothing is runnable: advance the virtual clock to the earliest
@@ -804,7 +819,7 @@ impl WaliRunner {
                     }
                 }
             };
-            slot.ctx.trace.total_time += t0.elapsed();
+            slot.ctx.trace.add_slice(t0.elapsed());
             slot.ctx.trace.wasm_steps += slot.thread.steps - steps0;
             slot.ctx.trace.reg_steps += slot.thread.reg_steps - reg0;
             (r, slot.thread.steps != steps0)
@@ -887,11 +902,7 @@ impl WaliRunner {
                         args,
                         deadline,
                     });
-                    slot.ctx.with_kernel(|k| {
-                        if let Ok(t) = k.task_mut(tid) {
-                            t.rusage.nvcsw += 1;
-                        }
-                    });
+                    count_voluntary_switch(&mut self.kernel.lock_ok(), tid);
                 }
                 // Park on the kernel waitqueues / deadline. A blocked call
                 // that neither subscribed a channel nor set a deadline has
